@@ -137,7 +137,7 @@ def test_backend_axis_emits_machine_readable_report(
     per_size = []
     for n in SIZES:
         ps, assignment = instances[n]
-        tables = kernel_backend.polar_tables(ps.coords)
+        tables = polar_tables(ps.coords)
         with recording() as rec:
             t_cov, _ = measure(
                 lambda: coverage_matrix(ps, assignment, tables=tables)
@@ -158,16 +158,16 @@ def test_backend_axis_emits_machine_readable_report(
     )
     with recording() as rec_batched:
         t_batched, _ = measure(
-            lambda: execute_plan(batch_req, backend=kernel_backend.name)
+            lambda: execute_plan(batch_req, backend=kernel_backend)
         )
     with recording() as rec_loop:
         t_loop, _ = measure(
             lambda: execute_plan(
-                batch_req, backend=kernel_backend.name, batch_instances=False
+                batch_req, backend=kernel_backend, batch_instances=False
             )
         )
     report = {
-        "backend": kernel_backend.name,
+        "backend": kernel_backend,
         "sizes": per_size,
         "batch_sweep": {
             "instances": batch_req.total_instances,
@@ -192,11 +192,11 @@ def test_backend_axis_emits_machine_readable_report(
             [
                 ["per-instance loop", round(t_loop, 4),
                  rec_loop.coverage_calls, rec_loop.critical_searches],
-                [f"batched ({kernel_backend.name})", round(t_batched, 4),
+                [f"batched ({kernel_backend})", round(t_batched, 4),
                  rec_batched.coverage_calls, rec_batched.critical_searches],
             ],
             title=f"[K1] {batch_req.total_instances}-instance sweep, "
-                  f"backend={kernel_backend.name} -> {out}",
+                  f"backend={kernel_backend} -> {out}",
         ))
 
 

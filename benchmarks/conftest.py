@@ -6,8 +6,7 @@ correctness gate as well as a performance report.  Run with ``-s`` to see
 the reproduced tables.
 
 ``--backend <name>`` runs the backend-aware benchmarks (bench_kernels)
-under that kernel backend; unavailable backends skip instead of failing,
-so CI can probe optional backends without gating on them.
+under that sparse-routing rule; an unknown name is an error.
 """
 
 from __future__ import annotations
@@ -20,23 +19,18 @@ def pytest_addoption(parser):
         "--backend",
         action="store",
         default="numpy",
-        help="kernel backend for backend-aware benchmarks "
-             "(numpy, numba, sparse, auto)",
+        help="sparse-routing rule for backend-aware benchmarks "
+             "(numpy, sparse, auto)",
     )
 
 
 @pytest.fixture(scope="session")
 def kernel_backend(request):
-    """The selected kernel backend, active for the using test's duration."""
-    from repro.kernels import BackendUnavailable, resolve_backend, use_backend
+    """The selected backend name, pinned for the using test's duration."""
+    from repro.kernels import use_backend
 
-    name = request.config.getoption("--backend")
-    try:
-        backend = resolve_backend(name)
-    except BackendUnavailable as exc:
-        pytest.skip(str(exc))
-    with use_backend(backend):
-        yield backend
+    with use_backend(request.config.getoption("--backend")) as name:
+        yield name
 
 
 def run_once(benchmark, fn, **kwargs):

@@ -6,7 +6,7 @@ drivers stay declarative.
 
 Two entry points: :func:`orientation_metrics` measures a single result;
 :func:`batched_orientation_metrics` measures a whole chunk of instances'
-results through the packed multi-instance kernels — one backend launch per
+results through the packed multi-instance kernels — one launch per
 measurement for the chunk, bit-identical values.
 """
 
@@ -19,8 +19,16 @@ import numpy as np
 
 from repro.core.result import OrientationResult
 from repro.graph.connectivity import is_strongly_connected, is_symmetrically_connected
-from repro.kernels.backend import active_backend
-from repro.kernels.batch import BatchedInstances, PackedPolarTables
+from repro.kernels.backend import active_backend, use_sparse
+from repro.kernels.batch import (
+    BatchedInstances,
+    PackedPolarTables,
+    packed_coverage,
+    packed_critical,
+    packed_strongly_connected,
+    packed_symmetric_connected,
+    packed_symmetric_critical,
+)
 from repro.kernels.geometry import PolarTables, polar_tables
 from repro.kernels.instrument import recording
 from repro.kernels.sparse import SparsePolarTables, sparse_metrics
@@ -98,25 +106,19 @@ def orientation_metrics(
     :class:`~repro.engine.cache.ArtifactCache`); without it the tables are
     built once here and shared between the transmission-graph and
     critical-range measurements.  Handing in :class:`SparsePolarTables` —
-    or activating a backend whose ``use_sparse`` rule selects this
-    instance — routes the measurement through the radius-bounded sparse
-    path (:func:`repro.kernels.sparse.sparse_metrics`), bit-identical by
-    its certification contract.  ``mode`` selects the connectivity
+    or activating a backend whose routing rule (:func:`use_sparse`)
+    selects this instance — routes the measurement through the
+    radius-bounded sparse path (:func:`repro.kernels.sparse.sparse_metrics`),
+    bit-identical by its certification contract.  ``mode`` selects the connectivity
     objective the connectivity flag and critical range are measured under.
     """
-    backend = active_backend()
-    if isinstance(tables, SparsePolarTables):
+    if isinstance(tables, SparsePolarTables) or (
+        tables is None and use_sparse(len(result.points))
+    ):
         return _sparse_orientation_metrics(
-            result, tables, compute_critical=compute_critical, backend=backend,
-            mode=mode,
+            result, tables, compute_critical=compute_critical, mode=mode
         )
     if tables is None:
-        wants = getattr(backend, "use_sparse", None)
-        if wants is not None and wants(len(result.points)):
-            return _sparse_orientation_metrics(
-                result, None, compute_critical=compute_critical, backend=backend,
-                mode=mode,
-            )
         tables = polar_tables(result.points.coords)
     g = result.transmission_graph(tables=tables)
     counts = result.assignment.counts()
@@ -150,7 +152,6 @@ def _sparse_orientation_metrics(
     tables: SparsePolarTables | None,
     *,
     compute_critical: bool,
-    backend,
     mode: str = "strong",
 ) -> OrientationMetrics:
     """Measure through the radius-bounded candidate geometry.
@@ -175,7 +176,7 @@ def _sparse_orientation_metrics(
     if compute_critical:
         critical = critical_abs / result.lmax if result.lmax > 0 else critical_abs
         result.stats["critical_range_kernels"] = {
-            "backend": backend.name,
+            "backend": active_backend(),
             "sparse": True,
             **rec.as_dict(),
         }
@@ -242,26 +243,24 @@ def batched_orientation_metrics(
     spread = np.concatenate(spread_parts)
     radius = np.concatenate(radius_parts)
 
-    cover = backend.packed_coverage(
+    cover = packed_coverage(
         tables, inst_idx, sensor_idx, start, spread, radius, eps=eps
     )
     if mode == "symmetric":
-        connected = backend.packed_symmetric_connected(cover, batch.counts)
+        connected = packed_symmetric_connected(cover, batch.counts)
     else:
-        connected = backend.packed_strongly_connected(cover, batch.counts)
+        connected = packed_strongly_connected(cover, batch.counts)
     edges = cover.reshape(m, -1).sum(axis=1)
 
     if compute_critical:
-        cover_ang = backend.packed_coverage(
+        cover_ang = packed_coverage(
             tables, inst_idx, sensor_idx, start, spread, radius,
             eps=eps, ignore_radius=True,
         )
         if mode == "symmetric":
-            critical_abs = backend.packed_symmetric_critical(
-                tables, cover_ang, eps=eps
-            )
+            critical_abs = packed_symmetric_critical(tables, cover_ang, eps=eps)
         else:
-            critical_abs = backend.packed_critical(tables, cover_ang, eps=eps)
+            critical_abs = packed_critical(tables, cover_ang, eps=eps)
 
     out = []
     for i, result in enumerate(results):
@@ -269,7 +268,7 @@ def batched_orientation_metrics(
             cr = float(critical_abs[i])
             critical = cr / result.lmax if result.lmax > 0 else cr
             result.stats["critical_range_kernels"] = {
-                "backend": backend.name,
+                "backend": backend,
                 "batched": True,
             }
         else:

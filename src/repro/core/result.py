@@ -92,7 +92,7 @@ class OrientationResult:
         with recording() as rec:
             cr = critical_range(self.points, self.assignment, tables=tables, mode=mode)
         self.stats["critical_range_kernels"] = {
-            "backend": active_backend().name,
+            "backend": active_backend(),
             **rec.as_dict(),
         }
         return cr

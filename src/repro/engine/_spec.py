@@ -80,7 +80,7 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _validate_backend(backend: "str | None") -> "str | None":
-    """Spec-level backend validation (availability is checked at run time).
+    """Spec-level backend name validation.
 
     The field is deliberately EXCLUDED from serialization and from
     :func:`repro.store.plan_fingerprint`: backends are bit-exact, so the

@@ -19,8 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geometry.points import PointSet, pairwise_distances
-from repro.kernels.backend import active_backend
-from repro.kernels.batch import BatchedInstances, PackedPolarTables
+from repro.kernels.batch import (
+    BatchedInstances,
+    PackedPolarTables,
+    packed_polar_tables,
+)
 from repro.kernels.geometry import PolarTables, polar_tables
 from repro.kernels.sparse import SparsePolarTables, sparse_polar_tables
 from repro.spanning.emst import SpanningTree, euclidean_mst
@@ -215,7 +218,7 @@ class ArtifactCache:
         if tables is not None:
             self._packed.move_to_end(key)
             return tables
-        tables = active_backend().packed_polar(batch)
+        tables = packed_polar_tables(batch)
         self._packed[key] = tables
         if self.maxsize is not None and len(self._packed) > self.maxsize:
             self._packed.popitem(last=False)

@@ -34,7 +34,7 @@ from repro.engine.cache import ArtifactCache, CacheStats
 from repro.engine._spec import GridCell, PlanRequest, Scenario, Shard
 from repro.experiments.harness import aggregate_rows
 from repro.geometry.points import max_pairwise_distance
-from repro.kernels.backend import active_backend, resolve_backend, use_backend
+from repro.kernels.backend import resolve_backend, use_backend, use_sparse
 from repro.kernels.batch import pack_instances
 from repro.kernels.sparse import default_instance_cutoff
 
@@ -72,12 +72,6 @@ class InstanceReport:
     elapsed: float
 
 
-def _wants_sparse(backend, n: int) -> bool:
-    """Does ``backend`` route an ``n``-point instance through the sparse path?"""
-    use_sparse = getattr(backend, "use_sparse", None)
-    return bool(use_sparse is not None and use_sparse(n))
-
-
 def instance_artifacts(cache: ArtifactCache, coords: np.ndarray):
     """``(pointset, tree, tables, facts)`` for one instance, via the cache.
 
@@ -92,7 +86,7 @@ def instance_artifacts(cache: ArtifactCache, coords: np.ndarray):
     """
     ps = cache.pointset(coords)
     tree = cache.tree(ps)
-    if _wants_sparse(active_backend(), len(ps)):
+    if use_sparse(len(ps)):
         tables = cache.sparse_polar(ps, default_instance_cutoff(tree.lmax))
         diameter = max_pairwise_distance(ps.coords) if len(ps) > 1 else 0.0
     else:
@@ -176,13 +170,13 @@ def _run_chunk(
     planning and measuring under connectivity ``mode``.
     """
     cache = cache if cache is not None else ArtifactCache()
-    with use_backend(backend_name) as backend:
+    with use_backend(backend_name):
         if batched:
             # Sparse-routed instances cannot take the packed dense path
             # (it materializes (m, n_max, n_max) tables); split the chunk
             # and measure them per-instance, everything else packed.
-            dense = [t for t in chunk if not _wants_sparse(backend, t[3].shape[0])]
-            sparse = [t for t in chunk if _wants_sparse(backend, t[3].shape[0])]
+            dense = [t for t in chunk if not use_sparse(t[3].shape[0])]
+            sparse = [t for t in chunk if use_sparse(t[3].shape[0])]
             out: list[tuple[int, _Payload]] = []
             if dense:
                 out.extend(
@@ -574,8 +568,8 @@ def execute_plan(
     backend:
         Kernel backend name for all measurement work.  ``None`` defers to
         ``request.backend``, then the ``REPRO_BACKEND`` environment
-        variable, then the numpy default.  Unknown or unavailable backends
-        raise :class:`~repro.kernels.backend.BackendUnavailable` up front.
+        variable, then the numpy default.  Unknown backends raise
+        :class:`~repro.kernels.backend.BackendUnavailable` up front.
     batch_instances:
         Evaluate each chunk of instances through the packed multi-instance
         kernels (one launch per grid cell per chunk) instead of a Python
@@ -583,7 +577,7 @@ def execute_plan(
         way; ``False`` is the per-instance escape hatch.
     """
     t_start = time.perf_counter()
-    backend_name = resolve_backend(backend or request.backend).name
+    backend_name = resolve_backend(backend or request.backend)
     shard = Shard.of(shard)
     all_tasks: list[_Task] = [
         (slot, si, ii, coords)

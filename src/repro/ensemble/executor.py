@@ -346,7 +346,7 @@ def execute_ensemble(
     are all bit-identical — including every Monte-Carlo draw.
     """
     t_start = time.perf_counter()
-    backend_name = resolve_backend(backend or request.backend).name
+    backend_name = resolve_backend(backend or request.backend)
     shard = Shard.of(shard)
     key = request.fingerprint()
     if request.objective == "curve":

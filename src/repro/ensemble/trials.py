@@ -37,8 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.backend import active_backend
-from repro.kernels.batch import PackedPolarTables
+from repro.kernels.batch import (
+    PackedPolarTables,
+    packed_coverage,
+    packed_critical,
+    packed_strongly_connected,
+    packed_symmetric_connected,
+    packed_symmetric_critical,
+)
 from repro.kernels.connectivity import (
     strongly_connected_edges,
     symmetric_connected_edges,
@@ -233,7 +239,6 @@ def _measure_dense(
 ):
     count, n = start_t.shape[0], tables.dist.shape[0]
     antennae = sensor_idx.shape[0]
-    backend = active_backend()
     # Zero-copy trials-as-instances packing: every "instance" of the packed
     # chunk is a broadcast view of the same cached tables.
     packed = PackedPolarTables(
@@ -247,12 +252,12 @@ def _measure_dense(
     start_f = np.ascontiguousarray(start_t).ravel()
     radius_f = np.ascontiguousarray(radius_t).ravel()
 
-    cover = backend.packed_coverage(
+    cover = packed_coverage(
         packed, inst_idx, sensor_f, start_f, spread_f, radius_f, eps=eps
     )
     cover_ang = None
     if want_critical:
-        cover_ang = backend.packed_coverage(
+        cover_ang = packed_coverage(
             packed, inst_idx, sensor_f, start_f, spread_f, radius_f,
             eps=eps, ignore_radius=True,
         )
@@ -285,9 +290,9 @@ def _measure_dense(
     if not want_connectivity:
         connected = None
     elif mode == "symmetric":
-        connected = backend.packed_symmetric_connected(cover, counts)
+        connected = packed_symmetric_connected(cover, counts)
     else:
-        connected = backend.packed_strongly_connected(cover, counts)
+        connected = packed_strongly_connected(cover, counts)
     critical = None
     if want_critical:
         if draws.fade is not None:
@@ -306,9 +311,9 @@ def _measure_dense(
             ]
         eff = PackedPolarTables(dist_eff, dist_eff, counts)
         if mode == "symmetric":
-            critical = backend.packed_symmetric_critical(eff, cover_ang, eps=eps)
+            critical = packed_symmetric_critical(eff, cover_ang, eps=eps)
         else:
-            critical = backend.packed_critical(eff, cover_ang, eps=eps)
+            critical = packed_critical(eff, cover_ang, eps=eps)
     return connected, critical
 
 

@@ -209,7 +209,7 @@ def execute_frontier(
     resumed runs are all bit-identical.
     """
     t_start = time.perf_counter()
-    backend_name = resolve_backend(backend or request.backend).name
+    backend_name = resolve_backend(backend or request.backend)
     shard = Shard.of(shard)
     all_tasks: list[_Task] = [
         (slot, si, ii, coords)

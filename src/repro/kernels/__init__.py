@@ -17,12 +17,10 @@ array programs over shared per-instance geometry:
 * :mod:`repro.kernels.batch` — packed multi-instance kernels: a whole
   chunk of instances (:class:`BatchedInstances` + packed polar tables)
   evaluated per Python-level launch;
-* :mod:`repro.kernels.backend` — the :class:`KernelBackend` seam: the
-  four hot primitives behind a narrow protocol, with the numpy kernels as
-  the default implementation, an optional numba JIT backend
-  (:mod:`repro.kernels.numba_backend`), and the radius-bounded
-  ``sparse``/``auto`` backends, selected by ``REPRO_BACKEND``, a request
-  flag, or ``--backend``;
+* :mod:`repro.kernels.backend` — backend *names* (``numpy``, ``sparse``,
+  ``auto``): the sparse-routing rule a run measures under, selected by
+  ``REPRO_BACKEND``, a request flag, or ``--backend`` and pinned per
+  context by :func:`use_backend`;
 * :mod:`repro.kernels.sparse` — :class:`SparsePolarTables`, the CSR
   radius-bounded candidate geometry and the certified-exact
   :func:`sparse_metrics` measurement loop that scales instances to
@@ -42,11 +40,10 @@ above import the kernels, never the other way around.
 from repro.kernels.backend import (
     KNOWN_BACKENDS,
     BackendUnavailable,
-    KernelBackend,
     active_backend,
-    available_backends,
     resolve_backend,
     use_backend,
+    use_sparse,
 )
 from repro.kernels.batch import (
     BatchedInstances,
@@ -89,13 +86,11 @@ __all__ = [
     "KNOWN_BACKENDS",
     "BackendUnavailable",
     "BatchedInstances",
-    "KernelBackend",
     "KernelCounters",
     "PackedPolarTables",
     "PolarTables",
     "SparsePolarTables",
     "active_backend",
-    "available_backends",
     "batched_coverage",
     "bbox_diameter_bound",
     "complete_cutoff",
@@ -122,4 +117,5 @@ __all__ = [
     "reverse_csr",
     "scc_count_csr",
     "use_backend",
+    "use_sparse",
 ]

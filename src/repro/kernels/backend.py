@@ -1,13 +1,18 @@
-"""The kernel backend seam: one narrow protocol, swappable implementations.
+"""Kernel backend names: which sparse-routing rule a run measures under.
 
-Every measurement in the codebase funnels through four hot primitives —
-polar-table construction, batched sector coverage, the CSR strong-
-connectivity probe, and the sorted-edge prefix-mask bisection behind
-``critical_range`` — plus their packed multi-instance variants.
-:class:`KernelBackend` names exactly those operations; call sites dispatch
-through :func:`active_backend` instead of importing kernel functions
-directly, so alternative implementations (numba JIT today, GPU kernels
-tomorrow) plug in without touching callers.
+Every measurement runs on one set of numpy kernels (polar tables, batched
+coverage, CSR connectivity, the critical-range bisection and their packed
+multi-instance variants); call sites import those functions directly.  A
+*backend* is only a validated name from :data:`KNOWN_BACKENDS` that picks
+when an instance takes the radius-bounded sparse path
+(:mod:`repro.kernels.sparse`) instead of the dense ``(n, n)`` tables — see
+:func:`use_sparse`:
+
+* ``numpy`` — never;
+* ``sparse`` — every instance with ``n >= 2``;
+* ``auto`` — instances with at least :func:`sparse_auto_threshold` points
+  (``REPRO_SPARSE_AUTO_N``, default 4096 — roughly where the dense tables
+  stop fitting in cache and their O(n²) build dominates).
 
 Selection precedence (first match wins):
 
@@ -17,52 +22,25 @@ Selection precedence (first match wins):
    ``FrontierRequest`` (the executor resolves it and wraps execution in
    :func:`use_backend`);
 3. the ``REPRO_BACKEND`` environment variable;
-4. the default ``numpy`` backend.
+4. the default ``numpy``.
 
-Two backends route large instances through the radius-bounded sparse path
-(:mod:`repro.kernels.sparse`) instead of the dense ``(n, n)`` tables: the
-``sparse`` backend does so for every instance with ``n >= 2``, and the
-``auto`` backend only above :func:`sparse_auto_threshold` points
-(``REPRO_SPARSE_AUTO_N``, default 4096 — roughly where the dense tables
-stop fitting in cache and their O(n²) build dominates).  Both answer the
-dense primitive protocol with the plain numpy kernels, so small instances
-and code paths that hand them dense tables behave exactly like ``numpy``;
-the engine and metrics layers consult :meth:`KernelBackend.use_sparse` to
-decide which artifact to build.
+The pinned name lives in a :class:`contextvars.ContextVar`, so concurrent
+plans on the service's drain threads each see their own pin.
 
-Exactness contract: every backend must be bit-exact against
-:mod:`repro.kernels.reference` on valid inputs.  The numpy backend *is*
-the reference-equivalent vectorized code; the numba backend delegates all
-trigonometry to the shared numpy table builders and JITs only the pure
-comparison/arithmetic passes, which are reproducible bit-for-bit (see
-:mod:`repro.kernels.numba_backend`).  Because results are bit-identical,
-ledgers written by one backend are valid resume/merge material for any
-other — the per-row ``backend`` tag records provenance, not meaning.
+Exactness contract: the sparse path is certified bit-identical to the
+dense kernels, so every rule yields the same results and ledgers written
+under one are valid resume/merge material for any other — the per-row
+``backend`` tag records provenance, not meaning.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Protocol, runtime_checkable
-
-import numpy as np
+from contextvars import ContextVar
+from typing import Iterator
 
 from repro.errors import ReproError
-from repro.kernels.batch import (
-    BatchedInstances,
-    PackedPolarTables,
-    packed_coverage,
-    packed_critical,
-    packed_polar_tables,
-    packed_strongly_connected,
-    packed_symmetric_connected,
-    packed_symmetric_critical,
-)
-from repro.kernels.coverage import batched_coverage
-from repro.kernels.critical import critical_range_search, symmetric_critical_range_search
-from repro.kernels.geometry import PolarTables, polar_tables
-from repro.kernels.connectivity import strongly_connected_csr, symmetric_connected_csr
 
 __all__ = [
     "KNOWN_BACKENDS",
@@ -71,20 +49,14 @@ __all__ = [
     "SPARSE_AUTO_ENV_VAR",
     "DEFAULT_SPARSE_AUTO_N",
     "BackendUnavailable",
-    "KernelBackend",
-    "NumpyBackend",
-    "SparseBackend",
-    "AutoBackend",
     "active_backend",
-    "available_backends",
     "resolve_backend",
     "sparse_auto_threshold",
     "use_backend",
+    "use_sparse",
 ]
 
-#: Names the registry knows how to construct (construction may still fail
-#: when the backing package is absent — see :func:`available_backends`).
-KNOWN_BACKENDS = ("numpy", "numba", "sparse", "auto")
+KNOWN_BACKENDS = ("numpy", "sparse", "auto")
 DEFAULT_BACKEND = "numpy"
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
@@ -107,253 +79,62 @@ def sparse_auto_threshold() -> int:
 
 
 class BackendUnavailable(ReproError):
-    """The requested kernel backend is unknown or cannot be constructed."""
+    """The requested kernel backend name is unknown."""
 
 
-@runtime_checkable
-class KernelBackend(Protocol):
-    """The four hot kernel primitives plus their packed chunk variants."""
-
-    name: str
-
-    # -- per-instance primitives ------------------------------------------
-    def polar_tables(self, coords) -> PolarTables: ...
-
-    def coverage(
-        self,
-        tables: PolarTables,
-        sensor_idx: np.ndarray,
-        start: np.ndarray,
-        spread: np.ndarray,
-        radius: np.ndarray,
-        *,
-        eps: float = 1e-9,
-        ignore_radius: bool = False,
-    ) -> np.ndarray: ...
-
-    def strongly_connected(
-        self, n: int, indptr: np.ndarray, indices: np.ndarray
-    ) -> bool: ...
-
-    def symmetric_connected(
-        self, n: int, indptr: np.ndarray, indices: np.ndarray
-    ) -> bool: ...
-
-    def critical_range(
-        self, n: int, pairs: np.ndarray, dists: np.ndarray, *, eps: float = 1e-9
-    ) -> float: ...
-
-    def symmetric_critical_range(
-        self, n: int, pairs: np.ndarray, dists: np.ndarray, *, eps: float = 1e-9
-    ) -> float: ...
-
-    # -- packed multi-instance variants -----------------------------------
-    def packed_polar(self, batch: BatchedInstances) -> PackedPolarTables: ...
-
-    def packed_coverage(
-        self,
-        tables: PackedPolarTables,
-        inst_idx: np.ndarray,
-        sensor_idx: np.ndarray,
-        start: np.ndarray,
-        spread: np.ndarray,
-        radius: np.ndarray,
-        *,
-        eps: float = 1e-9,
-        ignore_radius: bool = False,
-    ) -> np.ndarray: ...
-
-    def packed_strongly_connected(
-        self, cover: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray: ...
-
-    def packed_symmetric_connected(
-        self, cover: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray: ...
-
-    def packed_critical(
-        self, tables: PackedPolarTables, cover_ang: np.ndarray, *, eps: float = 1e-9
-    ) -> np.ndarray: ...
-
-    def packed_symmetric_critical(
-        self, tables: PackedPolarTables, cover_ang: np.ndarray, *, eps: float = 1e-9
-    ) -> np.ndarray: ...
-
-    # -- routing ----------------------------------------------------------
-    def use_sparse(self, n: int) -> bool:
-        """Should an ``n``-point instance take the radius-bounded sparse
-        path (:mod:`repro.kernels.sparse`) instead of dense tables?"""
-        ...
+#: The name pinned by the innermost :func:`use_backend` in this context.
+_pinned: ContextVar[str | None] = ContextVar("repro_backend", default=None)
 
 
-class NumpyBackend:
-    """The default backend: the vectorized numpy kernels as-is."""
-
-    name = "numpy"
-
-    def polar_tables(self, coords):
-        return polar_tables(coords)
-
-    def coverage(self, tables, sensor_idx, start, spread, radius, *,
-                 eps=1e-9, ignore_radius=False):
-        return batched_coverage(tables, sensor_idx, start, spread, radius,
-                                eps=eps, ignore_radius=ignore_radius)
-
-    def strongly_connected(self, n, indptr, indices):
-        return strongly_connected_csr(n, indptr, indices)
-
-    def symmetric_connected(self, n, indptr, indices):
-        return symmetric_connected_csr(n, indptr, indices)
-
-    def critical_range(self, n, pairs, dists, *, eps=1e-9):
-        return critical_range_search(n, pairs, dists, eps=eps)
-
-    def symmetric_critical_range(self, n, pairs, dists, *, eps=1e-9):
-        return symmetric_critical_range_search(n, pairs, dists, eps=eps)
-
-    def packed_polar(self, batch):
-        return packed_polar_tables(batch)
-
-    def packed_coverage(self, tables, inst_idx, sensor_idx, start, spread,
-                        radius, *, eps=1e-9, ignore_radius=False):
-        return packed_coverage(tables, inst_idx, sensor_idx, start, spread,
-                               radius, eps=eps, ignore_radius=ignore_radius)
-
-    def packed_strongly_connected(self, cover, counts):
-        return packed_strongly_connected(cover, counts)
-
-    def packed_symmetric_connected(self, cover, counts):
-        return packed_symmetric_connected(cover, counts)
-
-    def packed_critical(self, tables, cover_ang, *, eps=1e-9):
-        return packed_critical(tables, cover_ang, eps=eps)
-
-    def packed_symmetric_critical(self, tables, cover_ang, *, eps=1e-9):
-        return packed_symmetric_critical(tables, cover_ang, eps=eps)
-
-    def use_sparse(self, n: int) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return "NumpyBackend()"
-
-
-class SparseBackend(NumpyBackend):
-    """Radius-bounded sparse geometry for every non-trivial instance.
-
-    Dense primitives (inherited) stay the plain numpy kernels — callers
-    that already hold dense tables are served bit-identically — but the
-    engine and metrics layers route every instance with ``n >= 2``
-    through :func:`repro.kernels.sparse.sparse_metrics`.
-    """
-
-    name = "sparse"
-
-    def use_sparse(self, n: int) -> bool:
-        return n >= 2
-
-    def __repr__(self) -> str:
-        return "SparseBackend()"
-
-
-class AutoBackend(NumpyBackend):
-    """Numpy below :func:`sparse_auto_threshold` points, sparse above.
-
-    The threshold is read per call, so ``REPRO_SPARSE_AUTO_N`` can steer
-    an already-resolved backend (tests pin it; sweeps mixing instance
-    sizes get dense speed on small ones and sparse memory on large ones
-    within the same run).
-    """
-
-    name = "auto"
-
-    def use_sparse(self, n: int) -> bool:
-        return n >= sparse_auto_threshold()
-
-    def __repr__(self) -> str:
-        return "AutoBackend()"
-
-
-def _load_numba() -> KernelBackend:
-    from repro.kernels.numba_backend import NumbaBackend
-
-    return NumbaBackend()
-
-
-_FACTORIES = {
-    "numpy": NumpyBackend,
-    "numba": _load_numba,
-    "sparse": SparseBackend,
-    "auto": AutoBackend,
-}
-_instances: dict[str, KernelBackend] = {}
-#: Override stack pushed by :func:`use_backend`; top wins over the env var.
-_override: list[KernelBackend] = []
-
-
-def resolve_backend(name: str | None = None) -> KernelBackend:
-    """Construct (or fetch the cached) backend for ``name``.
+def resolve_backend(name: str | None = None) -> str:
+    """Validate ``name`` and return it.
 
     ``None`` falls back to ``$REPRO_BACKEND`` and then to the default
-    numpy backend.  Raises :class:`BackendUnavailable` for unknown names
-    and for known backends whose package is not installed.
+    ``numpy``.  Raises :class:`BackendUnavailable` for unknown names.
     """
     if name is None:
         name = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    if name not in _FACTORIES:
+    if name not in KNOWN_BACKENDS:
         raise BackendUnavailable(
             f"unknown kernel backend {name!r}; known backends: "
             f"{', '.join(KNOWN_BACKENDS)}"
         )
-    backend = _instances.get(name)
-    if backend is None:
-        try:
-            backend = _FACTORIES[name]()
-        except BackendUnavailable:
-            raise
-        except ImportError as exc:  # pragma: no cover - env dependent
-            raise BackendUnavailable(
-                f"kernel backend {name!r} failed to import: {exc}"
-            ) from exc
-        _instances[name] = backend
-    return backend
+    return name
 
 
-def active_backend() -> KernelBackend:
-    """The backend kernel call sites should dispatch through right now.
+def active_backend() -> str:
+    """The backend name in force right now.
 
-    The innermost :func:`use_backend` override wins; otherwise the env
-    var / default resolution of :func:`resolve_backend` applies per call.
+    The innermost :func:`use_backend` pin of the current context wins;
+    otherwise the env var / default resolution of :func:`resolve_backend`
+    applies per call.
     """
-    if _override:
-        return _override[-1]
-    return resolve_backend(None)
+    pinned = _pinned.get()
+    return pinned if pinned is not None else resolve_backend(None)
 
 
 @contextmanager
-def use_backend(backend: str | KernelBackend | None) -> Iterator[KernelBackend]:
-    """Pin :func:`active_backend` to ``backend`` within the ``with`` body.
+def use_backend(name: str | None) -> Iterator[str]:
+    """Pin :func:`active_backend` to ``name`` within the ``with`` body.
 
-    Accepts a backend name, an already-constructed backend, or ``None``
-    (resolve env/default now and pin that — useful to freeze the choice
-    for a whole run even if the environment changes midway).
+    ``None`` resolves env/default now and pins that — useful to freeze the
+    choice for a whole run even if the environment changes midway.  The
+    pin is scoped to the current context (thread), never shared.
     """
-    if isinstance(backend, str) or backend is None:
-        backend = resolve_backend(backend)
-    _override.append(backend)
+    name = resolve_backend(name)
+    token = _pinned.set(name)
     try:
-        yield backend
+        yield name
     finally:
-        _override.pop()
+        _pinned.reset(token)
 
 
-def available_backends() -> list[str]:
-    """Known backend names whose construction actually succeeds here."""
-    out = []
-    for name in KNOWN_BACKENDS:
-        try:
-            resolve_backend(name)
-        except BackendUnavailable:
-            continue
-        out.append(name)
-    return out
+def use_sparse(n: int) -> bool:
+    """Should an ``n``-point instance take the radius-bounded sparse path
+    under the active backend's routing rule?"""
+    backend = active_backend()
+    if backend == "sparse":
+        return n >= 2
+    if backend == "auto":
+        return n >= sparse_auto_threshold()
+    return False
