@@ -1,4 +1,4 @@
-"""Benchmark EN — Wilson-interval early stopping vs the fixed-M ensemble.
+"""Benchmark EN — the ensemble solver and trial kernels, judged by counters.
 
 EN1: the acceptance workload for the ensemble solver's sequential early
 stopping.  Bisecting φ on ``quantile_0.5(critical_range) ≤ target`` under
@@ -16,15 +16,28 @@ they are distinct plans with distinct ledgers), and both draw each trial
 from the counter stream keyed by (fingerprint-independent) instance slot
 and trial index, so the fixed-M run replays the exact trial outcomes the
 early stopper saw before it stopped.
+
+EN2: the chunk-shared work of a rotation-free curve with critical ranges
+on.  Every trial of a chunk aims its beams the same way, so a chunk costs
+exactly two coverage launches per grid cell (the faded cover for all its
+trials, and the angular-only cover they share), and the trials' critical
+range bisections run in lockstep: one ``csgraph`` call per step answers
+every still-searching trial.  The gate compares the run against the same
+request with the per-instance search loop the lockstep replaced
+(:func:`repro.kernels.reference.packed_critical_loop`): identical rows,
+identical ``connectivity_probes``, and at least 10 probes per
+``csgraph`` call.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.engine import Scenario
+import repro.ensemble.trials as trials
+from repro.engine import GridCell, Scenario
 from repro.ensemble import EnsembleRequest, Perturbation, execute_ensemble
 from repro.kernels.instrument import recording
+from repro.kernels.reference import packed_critical_loop
 from repro.utils.tables import format_ascii_table
 from repro.utils.timing import measure
 
@@ -94,3 +107,53 @@ def test_early_stopping_beats_fixed_budget(capsys):
             title="[EN1] quantile_0.5(critical_range) <= 1.2 under "
                   "fade_sigma=0.03, k=1",
         ))
+
+
+def test_rotation_free_chunks_share_coverage_and_bisect_in_lockstep(
+    capsys, monkeypatch
+):
+    """EN2 — two coverage launches per chunk and cell; lockstep bisection."""
+    request = EnsembleRequest(
+        scenarios=(Scenario("uniform", 40, seeds=2, tag="bench-lockstep"),),
+        grid=(GridCell(2, math.pi), GridCell(3, 1.5 * math.pi)),
+        trials=40,
+        chunk=20,
+        perturbation=Perturbation(fade_sigma=0.2, edge_fail=0.002),
+    )
+    with recording() as rec:
+        t_lockstep, lockstep = measure(lambda: execute_ensemble(request))
+    monkeypatch.setattr(
+        trials, "packed_critical",
+        lambda tables, cover_ang, eps=1e-9: packed_critical_loop(
+            tables, cover_ang, eps=eps
+        ),
+    )
+    with recording() as ref:
+        t_loop, loop = measure(lambda: execute_ensemble(request))
+
+    chunks = request.total_instances * request.n_chunks
+    assert lockstep.aggregate_rows() == loop.aggregate_rows()
+    assert rec.coverage_calls == 2 * chunks * len(request.grid)
+    assert rec.connectivity_probes == ref.connectivity_probes
+    assert rec.critical_searches == ref.critical_searches
+    assert rec.scipy_scc_calls * 10 <= rec.connectivity_probes, (
+        f"bisections no longer in lockstep: {rec.scipy_scc_calls} csgraph "
+        f"calls for {rec.connectivity_probes} probes"
+    )
+
+    with capsys.disabled():
+        print()
+        print(format_ascii_table(
+            ["critical search", "coverage calls", "probes", "csgraph calls",
+             "seconds"],
+            [
+                ["lockstep", rec.coverage_calls, rec.connectivity_probes,
+                 rec.scipy_scc_calls, round(t_lockstep, 3)],
+                ["per-instance loop", ref.coverage_calls,
+                 ref.connectivity_probes, ref.scipy_scc_calls,
+                 round(t_loop, 3)],
+            ],
+            title="[EN2] rotation-free fading curve, n=40, 2 x 2 chunks of "
+                  "20 trials, k in {2, 3}",
+        ))
+

@@ -3,14 +3,20 @@
 A trial never rebuilds geometry: it is a *mask and rescale* of the
 instance's cached polar tables.
 
-* **Dense path** — the instance's ``(n, n)`` :class:`PolarTables` are
-  broadcast (zero-copy) into a trials-as-instances
-  :class:`~repro.kernels.batch.PackedPolarTables`, so a whole chunk of
-  trials costs ONE :func:`~repro.kernels.batch.packed_coverage` launch
-  (plus one ``ignore_radius`` launch when the critical range is wanted),
-  one :func:`~repro.kernels.batch.packed_strongly_connected` launch and
-  one :func:`~repro.kernels.batch.packed_critical` launch — no extra trig,
-  no per-trial Python coverage loops.
+* **Dense path** — the instance's ``(n, n)`` :class:`PolarTables` serve
+  every trial of a chunk.  Without rotation every trial aims its beams
+  the same way, so one :func:`~repro.kernels.coverage.batched_coverage`
+  launch with a ``(T, A)`` radius array tests angular containment once
+  on the A antenna rows and only the faded radius per trial, and one
+  ``ignore_radius`` launch gives the angular-only cover the whole chunk
+  shares (when the critical range is wanted).  With rotation the tables
+  are broadcast (zero-copy) into a trials-as-instances
+  :class:`~repro.kernels.batch.PackedPolarTables` for one
+  :func:`~repro.kernels.batch.packed_coverage` launch (two with the
+  angular cover).  Either way the chunk then costs one
+  :func:`~repro.kernels.batch.packed_strongly_connected` launch and one
+  :func:`~repro.kernels.batch.packed_critical` launch, whose bisections
+  run in lockstep — no extra trig, no per-trial Python coverage loops.
 * **Sparse path** — the cached radius-bounded
   :class:`~repro.kernels.sparse.SparsePolarTables` serve every trial
   through :func:`~repro.kernels.sparse.sparse_trial_coverage` (again one
@@ -49,6 +55,7 @@ from repro.kernels.connectivity import (
     strongly_connected_edges,
     symmetric_connected_edges,
 )
+from repro.kernels.coverage import batched_coverage
 from repro.kernels.critical import (
     critical_range_search,
     symmetric_critical_range_search,
@@ -233,25 +240,27 @@ def measure_trials(
 # -- dense path ------------------------------------------------------------
 
 
-def _measure_dense(
-    tables, pert, draws, sensor_idx, start_t, spread, radius_t,
-    *, want_connectivity, want_critical, eps, mode="strong",
+def _rotated_coverage(
+    tables, sensor_idx, start_t, spread, radius_t, counts, *, want_critical, eps
 ):
+    """Coverage of trials whose beams point differently in every trial.
+
+    The instance's ``(n, n)`` tables are broadcast (zero-copy) into a
+    trials-as-instances :class:`PackedPolarTables`, so the chunk costs one
+    :func:`packed_coverage` launch (two with the angular-only cover).
+    """
     count, n = start_t.shape[0], tables.dist.shape[0]
     antennae = sensor_idx.shape[0]
-    # Zero-copy trials-as-instances packing: every "instance" of the packed
-    # chunk is a broadcast view of the same cached tables.
     packed = PackedPolarTables(
         np.broadcast_to(tables.dist, (count, n, n)),
         np.broadcast_to(tables.ang, (count, n, n)),
-        np.full(count, n, dtype=np.int64),
+        counts,
     )
     inst_idx = np.repeat(np.arange(count, dtype=np.int64), antennae)
     sensor_f = np.tile(sensor_idx, count)
     spread_f = np.tile(spread, count)
     start_f = np.ascontiguousarray(start_t).ravel()
     radius_f = np.ascontiguousarray(radius_t).ravel()
-
     cover = packed_coverage(
         packed, inst_idx, sensor_f, start_f, spread_f, radius_f, eps=eps
     )
@@ -260,6 +269,36 @@ def _measure_dense(
         cover_ang = packed_coverage(
             packed, inst_idx, sensor_f, start_f, spread_f, radius_f,
             eps=eps, ignore_radius=True,
+        )
+    return cover, cover_ang
+
+
+def _measure_dense(
+    tables, pert, draws, sensor_idx, start_t, spread, radius_t,
+    *, want_connectivity, want_critical, eps, mode="strong",
+):
+    count, n = start_t.shape[0], tables.dist.shape[0]
+    counts = np.full(count, n, dtype=np.int64)
+    if draws.rotation is None:
+        # Every trial aims its beams the same way: one launch evaluates the
+        # angular half once and the per-trial radius test for all trials,
+        # and the angular-only coverage is shared by the whole chunk.
+        cover = batched_coverage(
+            tables, sensor_idx, start_t[0], spread, radius_t, eps=eps
+        )
+        cover_ang = None
+        if want_critical:
+            cover_ang = np.repeat(
+                batched_coverage(
+                    tables, sensor_idx, start_t[0], spread, radius_t[0],
+                    eps=eps, ignore_radius=True,
+                )[None],
+                count, axis=0,
+            )
+    else:
+        cover, cover_ang = _rotated_coverage(
+            tables, sensor_idx, start_t, spread, radius_t, counts,
+            want_critical=want_critical, eps=eps,
         )
     if pert.edge_fail > 0.0:
         ids = np.arange(n, dtype=np.uint64)[:, None] * np.uint64(n) + np.arange(
@@ -284,8 +323,6 @@ def _measure_dense(
         cover = cover[ti, rows, cols]
         if cover_ang is not None:
             cover_ang = cover_ang[ti, rows, cols]
-    else:
-        counts = packed.counts
 
     if not want_connectivity:
         connected = None

@@ -21,16 +21,25 @@ Bit-exactness contract (vs. the per-instance kernels, and hence vs.
 * packed strong connectivity runs *one* ``connected_components`` call on
   the block-diagonal union graph — with no cross-instance edges the labels
   restricted to an instance's block are exactly its own SCC labels, so the
-  per-instance boolean is exact;
-* packed critical range runs the identical counter-free search body
-  (:func:`repro.kernels.critical._critical_search_impl`) per instance on
-  identical edge arrays.
+  per-instance boolean is exact; the per-instance kernels' cheap rejects
+  (too few edges, a vertex of out- or in-degree 0) run vectorized first
+  and decide the same instances the same way;
+* packed critical range runs every instance's bisection in *lockstep*:
+  each instance keeps its own ``(lo, hi)`` over its own ``np.unique``
+  candidates, a probe at ``r`` keeps exactly the edges with ``dist <= r +
+  radius_tolerance(r)`` (the per-instance search's prefix), and the
+  probes of one step share one packed connectivity call.  Same candidates,
+  same edge sets, same branches — so the same floats.
 
 Launch accounting: one packed call increments ``coverage_calls`` /
-``critical_searches`` / ``scipy_scc_calls`` *once* for the whole chunk
-(that is the point — the instrument counters are how CI judges the win),
-while per-instance work counters (``sector_evals``, ``connectivity_probes``,
-``trig_evals``) stay honest about the total work done.
+``critical_searches`` *once* for the whole chunk (that is the point — the
+instrument counters are how CI judges the win), and ``scipy_scc_calls``
+at most once per connectivity launch (none when every instance is
+decided by the rejects), while per-instance work counters
+(``sector_evals``, ``connectivity_probes``, ``trig_evals``) stay honest
+about the total work done.  A lockstep search therefore makes the same
+``connectivity_probes`` as the per-instance searches and one
+``scipy_scc_calls`` per step that reaches ``csgraph``.
 """
 
 from __future__ import annotations
@@ -40,13 +49,14 @@ import hashlib
 import numpy as np
 
 from repro.geometry.angles import angle_of
+from repro.geometry.sectors import radius_tolerance
 from repro.kernels.connectivity import (
     _HAVE_SCIPY,
+    _csgraph,
     strongly_connected_csr,
     symmetric_connected_csr,
 )
 from repro.kernels.coverage import _fill_block
-from repro.kernels.critical import _critical_search_impl, _symmetric_search_impl
 from repro.errors import InvalidParameterError
 from repro.kernels.geometry import DENSE_LIMIT_ENV_VAR, _ROW_BLOCK_ELEMS, dense_element_limit
 from repro.kernels.instrument import COUNTERS
@@ -280,7 +290,18 @@ def packed_symmetric_connected(cover: np.ndarray, counts: np.ndarray) -> np.ndar
 def _packed_connected(
     cover: np.ndarray, counts: np.ndarray, *, connection: str, probe
 ) -> np.ndarray:
-    """Shared block-diagonal one-launch connectivity body (both modes)."""
+    """Shared block-diagonal one-launch connectivity body (both modes).
+
+    The union graph numbers vertex ``u`` of instance ``m`` as ``m·n_max +
+    u`` (pad vertices stay isolated), so one flat scan of the block
+    yields its edges already grouped by source and the CSR arrays are
+    built directly.  The per-instance kernels' cheap rejects run
+    vectorized first — too few edges, a vertex with out-degree 0 and,
+    for strong connectivity, one with in-degree 0 — and only instances
+    that survive them keep their edges for ``connected_components``;
+    with no survivor the launch skips ``csgraph`` (and
+    ``scipy_scc_calls``) entirely.
+    """
     counts = np.asarray(counts, dtype=np.int64)
     m = int(counts.shape[0])
     out = np.zeros(m, dtype=bool)
@@ -296,30 +317,40 @@ def _packed_connected(
             out[i] = probe(n, indptr, np.nonzero(sub)[1])
         return out
 
-    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
     COUNTERS.connectivity_probes += m
-    COUNTERS.scipy_scc_calls += 1
-    base = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
-    total = int(base[-1])
-    if total == 0:
-        return out
-    mi, u, v = np.nonzero(cover)  # pads and diagonal are already False
-    src = base[mi] + u
-    dst = base[mi] + v
-    graph = coo_matrix(
-        (np.ones(src.shape[0], dtype=np.int8), (src, dst)), shape=(total, total)
-    )
-    _, labels = connected_components(
-        graph, directed=True, connection=connection, return_labels=True
-    )
-    starts = base[:-1]
-    nonempty = counts > 0
-    lo = np.minimum.reduceat(labels, starts[nonempty])
-    hi = np.maximum.reduceat(labels, starts[nonempty])
-    out[nonempty] = lo == hi
     out[counts <= 1] = True
+    n_max = int(cover.shape[1])
+    nodes = m * n_max
+    flat = np.flatnonzero(cover)  # pads and diagonal are already False
+    src = flat // n_max  # non-decreasing: the edges arrive grouped by source
+    valid = np.arange(n_max)[None, :] < counts[:, None]
+    outdeg = np.bincount(src, minlength=nodes).reshape(m, n_max)
+    live = outdeg.sum(axis=1) >= (counts if connection == "strong" else 2 * (counts - 1))
+    live &= counts > 1
+    live &= ~((outdeg == 0) & valid).any(axis=1)
+    if not live.any():
+        return out
+    dst = src // n_max * n_max + flat % n_max
+    if connection == "strong":
+        indeg = np.bincount(dst, minlength=nodes).reshape(m, n_max)
+        live &= ~((indeg == 0) & valid).any(axis=1)
+        if not live.any():
+            return out
+    if not live.all():
+        dst = dst[live[src // n_max]]
+        outdeg = outdeg * live[:, None]
+
+    COUNTERS.scipy_scc_calls += 1
+    indptr = np.concatenate([np.zeros(1, np.int64), np.cumsum(outdeg)])
+    _, labels = connected_components(
+        _csgraph(nodes, indptr, dst), directed=True, connection=connection,
+        return_labels=True,
+    )
+    labels = labels.reshape(m, n_max)
+    same = ((labels == labels[:, :1]) | ~valid).all(axis=1)
+    out[live] = same[live]
     return out
 
 
@@ -329,27 +360,14 @@ def packed_critical(
     """Per-instance critical range from an angular coverage chunk.
 
     ``cover_ang`` is the ``ignore_radius=True`` packed coverage.  One
-    ``critical_searches`` launch for the whole chunk; each instance runs
-    the identical search body as :func:`critical_range_search` on the same
-    sorted edge arrays, so results are bit-identical (``0.0`` for
-    ``n <= 1``, ``inf`` when deficient).
+    ``critical_searches`` launch for the whole chunk; the instances'
+    bisections run in lockstep (:func:`_lockstep_search`), each probe step
+    answered by one :func:`packed_strongly_connected` call, and the
+    results are bit-identical to :func:`critical_range_search` per
+    instance (``0.0`` for ``n <= 1``, ``inf`` when deficient).
     """
-    counts = tables.counts
-    m = int(counts.shape[0])
-    out = np.empty(m, dtype=float)
     COUNTERS.critical_searches += 1
-    for i in range(m):
-        n = int(counts[i])
-        if n <= 1:
-            out[i] = 0.0
-            continue
-        src, dst = np.nonzero(cover_ang[i, :n, :n])
-        if src.shape[0] == 0:
-            out[i] = np.inf
-            continue
-        dists = tables.dist[i][src, dst]
-        out[i] = _critical_search_impl(n, src, dst, dists, eps)
-    return out
+    return _lockstep_search(tables, cover_ang, eps, packed_strongly_connected)
 
 
 def packed_symmetric_critical(
@@ -357,24 +375,82 @@ def packed_symmetric_critical(
 ) -> np.ndarray:
     """Per-instance symmetric critical range from an angular coverage chunk.
 
-    One ``critical_searches`` launch for the whole chunk; each instance
-    runs the identical symmetrize-then-bisect body as
-    :func:`~repro.kernels.critical.symmetric_critical_range_search` on the
-    same edge arrays, so results are bit-identical.
+    The lockstep search of :func:`packed_critical` over the mutual pairs
+    of ``cover_ang``, probing with :func:`packed_symmetric_connected`;
+    bit-identical to
+    :func:`~repro.kernels.critical.symmetric_critical_range_search` per
+    instance.  Like that search it needs direction-symmetric distances
+    (``dist[m, u, v] == dist[m, v, u]``), so a radius mask of the mutual
+    pairs keeps whole pairs.
     """
-    counts = tables.counts
-    m = int(counts.shape[0])
-    out = np.empty(m, dtype=float)
     COUNTERS.critical_searches += 1
-    for i in range(m):
-        n = int(counts[i])
-        if n <= 1:
-            out[i] = 0.0
-            continue
-        src, dst = np.nonzero(cover_ang[i, :n, :n])
-        if src.shape[0] == 0:
-            out[i] = np.inf
-            continue
-        dists = tables.dist[i][src, dst]
-        out[i] = _symmetric_search_impl(n, src, dst, dists, eps)
+    mutual = cover_ang & cover_ang.swapaxes(1, 2)
+    return _lockstep_search(tables, mutual, eps, packed_symmetric_connected)
+
+
+def _lockstep_search(
+    tables: PackedPolarTables, edges: np.ndarray, eps: float, connected
+) -> np.ndarray:
+    """Bisect every instance's critical range at once.
+
+    Instance ``m`` searches its own candidate radii — the distinct
+    distances of its edges, ascending, i.e. its ``np.unique`` — exactly as
+    :func:`~repro.kernels.critical._critical_search_impl` does: probe the
+    largest candidate (failure means ``inf``), then bisect ``(lo, hi)``
+    with the invariant "connected at ``hi``".  A probe at radius ``r``
+    keeps the edges with ``dist <= r + radius_tolerance(r)`` — the same
+    edge set as the per-instance prefix — so every instance takes the same
+    branches and returns the same float.  Each step advances all
+    still-searching instances together and answers them with ONE
+    ``connected(block, counts)`` call: one connectivity probe per
+    instance, at most one ``csgraph`` call per step.
+    """
+    counts = np.asarray(tables.counts, dtype=np.int64)
+    m = int(counts.shape[0])
+    out = np.zeros(m)
+    valid = np.arange(edges.shape[1], dtype=np.int64)[None, :] < counts[:, None]
+    valid[counts <= 1] = False
+    edges = edges & valid[:, :, None] & valid[:, None, :]
+    dist = tables.dist
+
+    # Candidates: sort each instance's edge distances in its own row of a
+    # padded grid, then drop repeats — the per-instance ``np.unique``.
+    mi, u, v = np.unravel_index(np.flatnonzero(edges), edges.shape)
+    lens = np.bincount(mi, minlength=m)
+    grid = np.full((m, int(lens.max(initial=0))), np.inf)
+    grid[mi, np.arange(mi.shape[0]) - (np.cumsum(lens) - lens)[mi]] = dist[mi, u, v]
+    grid.sort(axis=1)
+    new = np.arange(grid.shape[1])[None, :] < lens[:, None]
+    new[:, 1:] &= grid[:, 1:] != grid[:, :-1]
+    cand = grid[new]
+    size = new.sum(axis=1)
+    first = np.cumsum(size) - size
+
+    def connected_at(active: np.ndarray, at: np.ndarray) -> np.ndarray:
+        r = cand[first[active] + at]
+        reach = (r + radius_tolerance(r, eps))[:, None, None]
+        if active.size == m:
+            block = edges & (dist <= reach)
+        else:
+            block = edges[active] & (dist[active] <= reach)
+        return connected(block, counts[active])
+
+    out[(counts > 1) & (size == 0)] = np.inf
+    lo = np.zeros(m, dtype=np.int64)
+    hi = size - 1  # invariant: connected at candidate hi
+    active = np.flatnonzero(size > 0)
+    if active.size:
+        ok = connected_at(active, hi[active])
+        out[active[~ok]] = np.inf
+        active = active[ok]
+    while active.size:
+        done = lo[active] >= hi[active]
+        out[active[done]] = cand[first[active[done]] + hi[active[done]]]
+        active = active[~done]
+        if not active.size:
+            break
+        mid = (lo[active] + hi[active]) // 2
+        ok = connected_at(active, mid)
+        hi[active[ok]] = mid[ok]
+        lo[active[~ok]] = mid[~ok] + 1
     return out

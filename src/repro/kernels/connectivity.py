@@ -60,6 +60,22 @@ def validate_mode(mode: str) -> str:
     return mode
 
 
+def _csgraph(n: int, indptr: np.ndarray, indices: np.ndarray):
+    """The ``csgraph`` matrix of CSR arrays, in the dtypes it validates to.
+
+    ``connected_components`` converts its input to float64 weights and
+    int32 indices; a matrix built with any other dtypes is copied twice
+    more on every call, which costs several times the component search
+    itself on the small graphs a bisection probes.
+    """
+    index = np.int32 if max(n, indices.shape[0]) < np.iinfo(np.int32).max else np.int64
+    return csr_matrix(
+        (np.ones(indices.shape[0]), indices.astype(index, copy=False),
+         indptr.astype(index, copy=False)),
+        shape=(n, n),
+    )
+
+
 def strongly_connected_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> bool:
     """Is the CSR digraph ``(indptr, indices)`` on ``n`` vertices strongly connected?"""
     COUNTERS.connectivity_probes += 1
@@ -73,9 +89,7 @@ def strongly_connected_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> b
         return False
     if _HAVE_SCIPY:
         COUNTERS.scipy_scc_calls += 1
-        mat = csr_matrix(
-            (np.ones(indices.shape[0], dtype=np.int8), indices, indptr), shape=(n, n)
-        )
+        mat = _csgraph(n, indptr, indices)
         ncomp = connected_components(
             mat, directed=True, connection="strong", return_labels=False
         )
@@ -157,9 +171,7 @@ def symmetric_connected_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> 
         return False
     if _HAVE_SCIPY:
         COUNTERS.scipy_scc_calls += 1
-        mat = csr_matrix(
-            (np.ones(indices.shape[0], dtype=np.int8), indices, indptr), shape=(n, n)
-        )
+        mat = _csgraph(n, indptr, indices)
         ncomp = connected_components(
             mat, directed=True, connection="weak", return_labels=False
         )
@@ -209,9 +221,7 @@ def component_count_csr(
     if not _HAVE_SCIPY:
         return None
     COUNTERS.scipy_scc_calls += 1
-    mat = csr_matrix(
-        (np.ones(indices.shape[0], dtype=np.int8), indices, indptr), shape=(n, n)
-    )
+    mat = _csgraph(n, indptr, indices)
     return int(
         connected_components(
             mat, directed=True, connection=connection, return_labels=False

@@ -75,7 +75,7 @@ def symmetric_critical_range_search(
 def _symmetric_search_impl(
     n: int, src_all: np.ndarray, dst_all: np.ndarray, dists: np.ndarray, eps: float
 ) -> float:
-    """Counter-free symmetric search body (packed kernels reuse it too).
+    """Counter-free symmetric search body.
 
     Symmetrizes the candidate list, then runs the shared prefix-mask
     bisection with the undirected-connectivity probe.  Requires ``n >= 2``
@@ -104,9 +104,9 @@ def _critical_search_impl(
 ) -> float:
     """The search body, free of launch accounting (``critical_searches``).
 
-    Shared by the per-instance entry point above and the packed
-    multi-instance kernel (:func:`repro.kernels.batch.packed_critical`),
-    which counts one launch for a whole chunk.  ``probe`` is the CSR
+    The packed multi-instance kernel
+    (:func:`repro.kernels.batch.packed_critical`) runs the same bisection
+    for a whole chunk in lockstep over the same candidates.  ``probe`` is the CSR
     connectivity predicate the bisection drives — the strong kernel by
     default, :func:`symmetric_connected_csr` on an already-mutual edge
     list for symmetric mode.  Connectivity probes are still counted

@@ -39,7 +39,12 @@ class KernelCounters:
     connectivity_probes:
         Strong-connectivity yes/no checks (any backend).
     scipy_scc_calls:
-        Probes answered by ``scipy.sparse.csgraph.connected_components``.
+        ``scipy.sparse.csgraph.connected_components`` calls.  A
+        per-instance probe makes one unless a cheap reject (too few edges,
+        a vertex of out- or in-degree 0) decides it; a packed connectivity
+        launch makes at most one for its whole chunk, none when the
+        rejects decide every instance.  A lockstep critical search
+        therefore makes one per bisection step that reaches ``csgraph``.
     bfs_fallbacks:
         Probes answered by the two-pass BFS fallback (no scipy).
     trig_evals:
@@ -52,7 +57,10 @@ class KernelCounters:
     sector_evals:
         Sector-point containment tests evaluated inside the batched kernel
         (``antennae x points``; the same work the old per-antenna Python
-        loop did one row at a time).
+        loop did one row at a time).  A call with per-trial radii (a
+        ``(T, A)`` radius array) tests each antenna's angular row once and
+        the radius per trial, so it counts ``A x n`` angular tests plus
+        ``T x A x n`` radius tests.
     critical_searches:
         Rebuild-free critical-range searches performed.  A packed search
         over a whole chunk of instances counts as *one* launch.

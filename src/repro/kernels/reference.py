@@ -20,6 +20,7 @@ from repro.antenna.model import AntennaAssignment
 from repro.geometry.angles import TWO_PI, angle_of, ccw_angle
 from repro.geometry.points import PointSet
 from repro.graph.digraph import DiGraph
+from repro.kernels.critical import _critical_search_impl, _symmetric_search_impl
 from repro.kernels.instrument import COUNTERS
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "critical_range_rebuild_symmetric",
     "bfs_strongly_connected",
     "symmetric_connected_loop",
+    "packed_critical_loop",
 ]
 
 
@@ -195,3 +197,32 @@ def critical_range_rebuild(
         else:
             lo = mid + 1
     return float(candidates[hi])
+
+
+def packed_critical_loop(
+    tables, cover_ang: np.ndarray, *, eps: float = 1e-9, symmetric: bool = False
+) -> np.ndarray:
+    """The packed critical range as it was before the lockstep search.
+
+    One ``critical_searches`` launch for the chunk, then the per-instance
+    search body of :func:`~repro.kernels.critical.critical_range_search`
+    (or its symmetric twin) run on each instance in turn — one CSR probe
+    at a time.  Same results and the same ``connectivity_probes`` as
+    :func:`repro.kernels.batch.packed_critical`; its ``scipy_scc_calls``
+    are the per-probe count the lockstep search must never exceed.
+    """
+    search = _symmetric_search_impl if symmetric else _critical_search_impl
+    counts = tables.counts
+    out = np.empty(counts.shape[0], dtype=float)
+    COUNTERS.critical_searches += 1
+    for i in range(counts.shape[0]):
+        n = int(counts[i])
+        if n <= 1:
+            out[i] = 0.0
+            continue
+        src, dst = np.nonzero(cover_ang[i, :n, :n])
+        if src.shape[0] == 0:
+            out[i] = np.inf
+            continue
+        out[i] = search(n, src, dst, tables.dist[i][src, dst], eps)
+    return out

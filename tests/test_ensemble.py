@@ -146,6 +146,56 @@ class TestTrialDeterminism:
         for a, b in zip(dense.outcomes, sparse.outcomes):
             assert a.results == b.results
 
+    @pytest.mark.parametrize("mode", ["strong", "symmetric"])
+    @pytest.mark.parametrize(
+        "perturbation",
+        [
+            Perturbation(fade_sigma=0.2),
+            Perturbation(fade_sigma=0.2, edge_fail=0.05),
+            Perturbation(fade_sigma=0.2, node_fail=0.1),
+        ],
+        ids=["fade", "fade+edge", "fade+node"],
+    )
+    def test_rotation_free_dense_and_sparse_agree(self, perturbation, mode):
+        """Without rotation the dense path takes the hoisted coverage and
+        the lockstep search; the sparse path measures trial by trial."""
+        request = curve_request(perturbation=perturbation, mode=mode)
+        dense = execute_ensemble(request, backend="numpy")
+        sparse = execute_ensemble(request, backend="sparse")
+        assert dense.aggregate_rows() == sparse.aggregate_rows()
+        for a, b in zip(dense.outcomes, sparse.outcomes):
+            assert a.results == b.results
+
+    @pytest.mark.parametrize("mode", ["strong", "symmetric"])
+    def test_hoisted_coverage_matches_packed_path(self, mode):
+        """The rotation-free trial path equals the per-trial packed path it
+        replaced: the same draws with a zero rotation take the packed
+        coverage launch and give bit-identical measurements."""
+        from repro.core.symmetric import orient_for_mode
+        from repro.ensemble.trials import TrialDraws, _measure_dense
+        from repro.geometry.points import PointSet
+        from repro.kernels import polar_tables
+
+        ps = PointSet(np.random.default_rng(4).random((24, 2)))
+        result = orient_for_mode(ps, 2, 0.9 * PI, mode=mode)
+        tables = polar_tables(ps.coords)
+        pert = Perturbation(fade_sigma=0.2, edge_fail=0.01, node_fail=0.03)
+        draws = draw_trials("hoist", 0, range(12), len(result.points), pert)
+        rotated = TrialDraws(np.zeros_like(draws.fade), draws.fade,
+                             draws.alive, draws.edge_seeds)
+        sensor_idx, start, spread, radius = result.assignment.flattened()
+        start_t = np.broadcast_to(start, (12, start.shape[0]))
+        radius_t = radius[None, :] * draws.fade[:, sensor_idx]
+        kwargs = dict(want_connectivity=True, want_critical=True, eps=1e-9,
+                      mode=mode)
+        hoisted = _measure_dense(tables, pert, draws, sensor_idx, start_t,
+                                 spread, radius_t, **kwargs)
+        packed = _measure_dense(tables, pert, rotated, sensor_idx, start_t,
+                                spread, radius_t, **kwargs)
+        assert np.array_equal(hoisted[0], packed[0])
+        assert hoisted[1].tobytes() == packed[1].tobytes()
+        assert np.isfinite(hoisted[1]).sum() >= 6  # the searches bisect
+
     def test_identity_perturbation_reproduces_deterministic_network(self):
         request = curve_request(
             grid=(GridCell(2, 2 * PI),), perturbation=Perturbation()

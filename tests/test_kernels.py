@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.antenna.coverage import (
     coverage_matrix,
@@ -38,11 +40,27 @@ from repro.kernels import (
     strongly_connected_csr,
     strongly_connected_edges,
 )
-from repro.kernels.connectivity import _bfs_covers_all
+from repro.kernels.batch import (
+    PackedPolarTables,
+    packed_critical,
+    packed_strongly_connected,
+    packed_symmetric_connected,
+    packed_symmetric_critical,
+)
+from repro.kernels.connectivity import (
+    _bfs_covers_all,
+    symmetric_connected_csr,
+)
+from repro.kernels.coverage import batched_coverage
+from repro.kernels.critical import (
+    critical_range_search,
+    symmetric_critical_range_search,
+)
 from repro.kernels.reference import (
     bfs_strongly_connected,
     coverage_matrix_loop,
     critical_range_rebuild,
+    packed_critical_loop,
 )
 
 
@@ -279,3 +297,199 @@ class TestPolarTables:
             polar_tables(np.random.default_rng(1).random((9, 2)))
         assert rec.polar_builds == 1
         assert rec.trig_evals == 81
+
+
+# -- packed chunks: lockstep search and one-launch connectivity ----------------------
+
+
+@st.composite
+def ragged_chunks(draw, symmetric: bool):
+    """A packed chunk of ragged instances with adversarial edge distances.
+
+    Sizes include 0, 1 and 2; densities include empty instances (critical
+    range ``inf``) and sparse ones that are usually deficient.  Distances
+    come from a small pool with exact ties and pairs sitting exactly on,
+    and one ulp past, the ``radius_tolerance`` boundary of another pool
+    value.  Pad entries of ``dist`` hold garbage (they must never be read);
+    pad and diagonal entries of ``cover`` are False, as every producer
+    guarantees.
+    """
+    sizes = draw(st.lists(st.sampled_from([0, 1, 2, 3, 5, 9]), min_size=1, max_size=6))
+    density = draw(st.sampled_from([0.0, 0.15, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n_max = len(sizes), max(max(sizes), 1)
+    base = [0.5, 1.0, 2.0, 3.0, 7.25]
+    pool = base + [b + radius_tolerance(b) for b in base]
+    pool += [np.nextafter(b + radius_tolerance(b), np.inf) for b in base]
+    dist = rng.uniform(-5.0, 50.0, size=(m, n_max, n_max))
+    cover = np.zeros((m, n_max, n_max), dtype=bool)
+    for i, n in enumerate(sizes):
+        d = np.where(rng.random((n, n)) < 0.6, rng.choice(pool, size=(n, n)),
+                     rng.uniform(0.1, 8.0, size=(n, n)))
+        if symmetric:
+            d = np.triu(d) + np.triu(d, 1).T
+        dist[i, :n, :n] = d
+        c = rng.random((n, n)) < density
+        np.fill_diagonal(c, False)
+        cover[i, :n, :n] = c
+    counts = np.array(sizes, dtype=np.int64)
+    return PackedPolarTables(dist, dist, counts), cover
+
+
+class TestLockstepSearch:
+    """The lockstep packed search against the per-instance searches."""
+
+    @staticmethod
+    def _compare(tables, cover, packed, symmetric):
+        with recording() as got_rec:
+            got = packed(tables, cover)
+        with recording() as ref_rec:
+            ref = packed_critical_loop(tables, cover, symmetric=symmetric)
+        assert got.tobytes() == ref.tobytes()
+        assert got_rec.connectivity_probes == ref_rec.connectivity_probes
+        assert got_rec.critical_searches == ref_rec.critical_searches == 1
+        assert got_rec.scipy_scc_calls <= ref_rec.scipy_scc_calls
+        search = (symmetric_critical_range_search if symmetric
+                  else critical_range_search)
+        for i, n in enumerate(tables.counts):
+            src, dst = np.nonzero(cover[i, :n, :n])
+            value = search(int(n), np.stack([src, dst], axis=1),
+                           tables.dist[i][src, dst])
+            assert np.float64(value).tobytes() == got[i].tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_chunks(symmetric=False))
+    def test_strong_matches_per_instance(self, chunk):
+        self._compare(*chunk, packed_critical, symmetric=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_chunks(symmetric=True))
+    def test_symmetric_matches_per_instance(self, chunk):
+        self._compare(*chunk, packed_symmetric_critical, symmetric=True)
+
+    def test_one_csgraph_call_per_step(self):
+        """25 instances that bisect together share each step's csgraph call."""
+        rng = np.random.default_rng(5)
+        n, m = 12, 25
+        dist = rng.uniform(0.1, 9.0, size=(m, n, n))
+        cover = ~np.eye(n, dtype=bool)[None].repeat(m, axis=0)
+        tables = PackedPolarTables(dist, dist, np.full(m, n, dtype=np.int64))
+        with recording() as rec:
+            packed_critical(tables, cover)
+        steps = 1 + math.ceil(math.log2(n * (n - 1)))
+        assert rec.connectivity_probes >= m * (steps - 1)
+        assert rec.scipy_scc_calls <= steps
+
+
+class TestPackedConnectivity:
+    """One-launch connectivity against the per-instance CSR kernels."""
+
+    @staticmethod
+    def _csr(block):
+        src, dst = np.nonzero(block)
+        n = block.shape[0]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+        return indptr.astype(np.int64), dst.astype(np.int64)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_chunks(symmetric=False))
+    def test_strong_matches_per_instance(self, chunk):
+        tables, cover = chunk
+        with recording() as got_rec:
+            got = packed_strongly_connected(cover, tables.counts)
+        with recording() as ref_rec:
+            ref = [strongly_connected_csr(int(n), *self._csr(cover[i, :n, :n]))
+                   for i, n in enumerate(tables.counts)]
+        assert got.tolist() == ref
+        assert got_rec.connectivity_probes == ref_rec.connectivity_probes
+        assert got_rec.scipy_scc_calls <= min(1, ref_rec.scipy_scc_calls)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_chunks(symmetric=False))
+    def test_symmetric_matches_per_instance(self, chunk):
+        tables, cover = chunk
+        with recording() as got_rec:
+            got = packed_symmetric_connected(cover, tables.counts)
+        ref = []
+        with recording() as ref_rec:
+            for i, n in enumerate(tables.counts):
+                sub = cover[i, :n, :n]
+                ref.append(symmetric_connected_csr(int(n), *self._csr(sub & sub.T)))
+        assert got.tolist() == ref
+        assert got_rec.connectivity_probes == ref_rec.connectivity_probes
+        assert got_rec.scipy_scc_calls <= min(1, ref_rec.scipy_scc_calls)
+
+    def test_all_rejected_skips_csgraph(self):
+        cover = np.zeros((3, 4, 4), dtype=bool)
+        cover[0, 0, 1] = True
+        with recording() as rec:
+            got = packed_strongly_connected(cover, np.array([4, 4, 1]))
+        assert got.tolist() == [False, False, True]
+        assert rec.connectivity_probes == 3 and rec.scipy_scc_calls == 0
+
+
+class TestTrialRadiusCoverage:
+    """A ``(T, A)`` radius array == T stacked single-radius calls."""
+
+    @staticmethod
+    def _antennae(rng, n, per_sensor):
+        a = n * per_sensor
+        idx = np.repeat(np.arange(n, dtype=np.int64), per_sensor)
+        start = rng.uniform(0.0, 2 * np.pi, size=a)
+        spread = rng.uniform(0.0, 2 * np.pi, size=a)
+        spread[rng.random(a) < 0.2] = 0.0
+        spread[rng.random(a) < 0.2] = 2 * np.pi
+        return idx, start, spread
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_matches_stacked_single_radius_calls(self, seed, grouped):
+        rng = np.random.default_rng(seed)
+        n, trials = int(rng.integers(2, 14)), 5
+        coords = rng.uniform(-3.0, 3.0, size=(n, 2))
+        if n >= 4:
+            coords[1] = coords[0]  # coincident points: dist == 0 excluded
+            coords[3, 0] = coords[2, 0]  # a zero-spread ray through a point
+        tables = polar_tables(coords)
+        idx, start, spread = self._antennae(rng, n, int(rng.integers(1, 4)))
+        if not grouped:
+            order = rng.permutation(idx.shape[0])
+            idx, start, spread = idx[order], start[order], spread[order]
+        a = idx.shape[0]
+        radius = rng.uniform(0.0, 6.0, size=(trials, a))
+        radius[rng.random((trials, a)) < 0.2] = np.inf
+        # Radii exactly at dist - tol of the pair each antenna points at.
+        target = rng.integers(0, n, size=a)
+        d = tables.dist[idx, target]
+        radius[0] = d - radius_tolerance(d)
+        radius[1] = d
+        with recording() as rec:
+            got = batched_coverage(tables, idx, start, spread, radius)
+        want = np.stack([
+            batched_coverage(tables, idx, start, spread, radius[t])
+            for t in range(trials)
+        ])
+        assert got.shape == (trials, n, n)
+        assert np.array_equal(got, want)
+        assert rec.coverage_calls == 1
+        assert rec.sector_evals == a * n * (1 + trials)
+
+    def test_ignore_radius_is_one_matrix(self):
+        rng = np.random.default_rng(3)
+        tables = polar_tables(rng.random((7, 2)))
+        idx, start, spread = self._antennae(rng, 7, 2)
+        radius = rng.uniform(0.0, 1.0, size=(4, idx.shape[0]))
+        got = batched_coverage(tables, idx, start, spread, radius,
+                               ignore_radius=True)
+        assert np.array_equal(got, batched_coverage(
+            tables, idx, start, spread, radius[0], ignore_radius=True))
+
+    def test_no_antennae(self):
+        tables = polar_tables(np.random.default_rng(0).random((4, 2)))
+        empty = np.zeros(0)
+        with recording() as rec:
+            got = batched_coverage(tables, np.zeros(0, dtype=np.int64), empty,
+                                   empty, np.zeros((3, 0)))
+        assert got.shape == (3, 4, 4) and not got.any()
+        assert rec.coverage_calls == 0
+
